@@ -177,8 +177,8 @@ pub fn sized_program(seed: u64, target_nodes: usize) -> EExp {
 ///
 /// Each β-reduction substitutes into a body whose tail is the entire
 /// remaining chain, so a tree-copying substitution does O(n) work per redex
-/// — O(n²) total — while the term store's free-variable mask sees the tail
-/// is closed and skips it, for O(n) total. This is the B11 workload.
+/// — O(n²) total — while the environment machine binds each `x_i` without
+/// substituting, for O(n) total. This is the B11 workload.
 pub fn deep_redex_chain(n: usize) -> IExp {
     (1..=n).fold(IExp::Int(0), |acc, i| {
         let x = Var::new(format!("x{i}"));
@@ -197,11 +197,11 @@ pub fn deep_redex_chain(n: usize) -> IExp {
 /// `k` occurrences of the bound variable under a branch that is never
 /// taken: `(λx. x + (if x < 0 then x + x + ... + x else acc)) i`.
 ///
-/// Substitution-based evaluators rewrite eagerly, so every β-step must
-/// path-copy (and re-intern, for the store) the dead `k`-node payload —
-/// O(n·k) work that produces nothing. The environment machine just binds
-/// `x` in the live environment and never decodes the untaken branch, so
-/// its cost is O(n) regardless of `k`. Every lambda binds the same
+/// The substitution-based tree evaluator rewrites eagerly, so every β-step
+/// must copy the dead `k`-node payload — O(n·k) work that produces
+/// nothing. The environment machine just binds `x` in the live environment
+/// and never decodes the untaken branch, so its cost is O(n) regardless of
+/// `k`. Every lambda binds the same
 /// variable, which keeps the hash-consed input small: the payload interns
 /// once and the whole term is O(n + k) distinct nodes. This is the B18
 /// workload; the evaluated result is `Σ 1..=n`, as in [`deep_redex_chain`].

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use hazel_lang::elab::elab_syn;
-use hazel_lang::eval::{EvalError, Evaluator, DEFAULT_FUEL};
+use hazel_lang::eval::{eval_untraced, EvalError, DEFAULT_FUEL};
 use hazel_lang::external::{CaseArm, EExp};
 use hazel_lang::ident::{LivelitName, Var};
 use hazel_lang::internal::IExp;
@@ -304,9 +304,8 @@ fn expand_invocation_inner(
     let pexpansion = match &def.expand {
         ExpandFn::Object(d_expand, scheme) => {
             let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(ap.model.clone()));
-            let d_encoded = Evaluator::with_fuel(DEFAULT_FUEL)
-                .eval(&applied)
-                .map_err(|error| ExpandError::ExpandEval {
+            let d_encoded =
+                eval_untraced(&applied, DEFAULT_FUEL).map_err(|error| ExpandError::ExpandEval {
                     livelit: ap.name.clone(),
                     error,
                 })?;

@@ -2,8 +2,8 @@
 //! (`crate::machine`).
 //!
 //! The machine charges evaluation steps exactly as the substitution-based
-//! evaluators do, so that `EvalSteps` (and fuel exhaustion points) stay
-//! bit-identical across evaluator kinds. The one place this requires real
+//! tree evaluator does, so that `EvalSteps` (and fuel exhaustion points)
+//! stay bit-identical to the reference semantics. The one place this requires real
 //! work is variable lookup: where the tree evaluator *re-evaluates* the
 //! value it substituted in (a final term, so re-evaluation returns it
 //! unchanged but still consumes steps), the machine returns the bound value

@@ -64,7 +64,7 @@ pub mod value;
 pub use external::EExp;
 pub use ident::{HoleName, Label, LivelitName, TVar, Var};
 pub use internal::{IExp, Sigma};
-pub use machine::{eval_kind, set_eval_kind_override, EvalKind, MachineCounters, MachineEvaluator};
+pub use machine::{MachineCounters, MachineEvaluator};
 pub use ops::BinOp;
 pub use store::{TermId, TermStore, VarId};
 pub use typ::Typ;

@@ -4,14 +4,15 @@
 //! livelit plots a `Float -> Float` splice by sampling it under the
 //! collected closure. It demonstrates that live evaluation is not limited
 //! to first-order data: `eval_splice` returns the function's *closure
-//! value*, which the view then applies to sample points with the ordinary
-//! evaluator. Indeterminate samples (the function body may contain holes)
-//! are skipped, per the Sec. 2.5.2 degradation discipline.
+//! value*, which the view then applies to sample points with the
+//! environment machine. Indeterminate samples (the function body may
+//! contain holes) are skipped, per the Sec. 2.5.2 degradation discipline.
 
 use hazel_lang::build;
-use hazel_lang::eval::Evaluator;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::{Label, LivelitName};
+use hazel_lang::machine::MachineEvaluator;
+use hazel_lang::store::{Node, TermStore};
 use hazel_lang::typ::Typ;
 use hazel_lang::value::iv;
 use hazel_lang::IExp;
@@ -43,15 +44,37 @@ fn model_range(model: &Model) -> Result<(f64, f64), CmdError> {
     Ok((lo, hi))
 }
 
-/// Samples a function value at `x` with the ordinary evaluator; `None` if
-/// the application is indeterminate (holes in the function body) or
-/// errors.
-fn sample(f: &IExp, x: f64, fuel: u64) -> Option<f64> {
-    let applied = IExp::Ap(Box::new(f.clone()), Box::new(IExp::Float(x)));
-    match Evaluator::with_fuel(fuel).eval(&applied) {
-        Ok(IExp::Float(y)) => Some(y),
-        _ => None,
-    }
+/// Per-sample evaluation fuel.
+const SAMPLE_FUEL: u64 = 200_000;
+
+/// Samples a function value at each of `xs` with the environment machine;
+/// `None` where the application is indeterminate (holes in the function
+/// body) or errors. `f` is interned once and one machine serves every
+/// sample, each with a fresh fuel budget.
+fn samples(f: &IExp, xs: impl Iterator<Item = f64>) -> Vec<Option<f64>> {
+    let mut store = TermStore::new();
+    let f = store.intern_iexp(f);
+    let applications: Vec<_> = xs
+        .map(|x| {
+            let x = store.intern(Node::Float(x.to_bits()));
+            store.intern(Node::Ap(f, x))
+        })
+        .collect();
+    let mut machine = MachineEvaluator::with_fuel(&mut store, SAMPLE_FUEL);
+    let results: Vec<_> = applications
+        .into_iter()
+        .map(|applied| {
+            machine.refuel();
+            machine.eval(applied).ok()
+        })
+        .collect();
+    results
+        .into_iter()
+        .map(|y| match store.node(y?) {
+            Node::Float(y) => Some(f64::from_bits(*y)),
+            _ => None,
+        })
+        .collect()
 }
 
 impl Livelit for PlotLivelit {
@@ -143,12 +166,10 @@ impl Livelit for PlotLivelit {
 
         // Live-evaluate the function splice to its closure value.
         let samples: Vec<Option<f64>> = match ctx.eval_splice(f_ref)? {
-            Some(LiveResult::Val(f)) => (0..WIDTH)
-                .map(|i| {
-                    let x = lo + (hi - lo) * i as f64 / (WIDTH - 1) as f64;
-                    sample(&f, x, 200_000)
-                })
-                .collect(),
+            Some(LiveResult::Val(f)) => samples(
+                &f,
+                (0..WIDTH).map(|i| lo + (hi - lo) * i as f64 / (WIDTH - 1) as f64),
+            ),
             // No closure, or the function itself is indeterminate: no
             // samples (Sec. 2.5.2's graceful degradation).
             _ => vec![None; WIDTH],

@@ -24,13 +24,13 @@
 //!   [`std::panic::catch_unwind`]; a panicking task yields a [`TaskPanic`]
 //!   in its result slot instead of aborting the host or poisoning its
 //!   siblings.
-//! - **Big stacks**: workers get the same 512 MiB stacks the sequential
-//!   evaluator's `run_on_big_stack` uses, so deep recursion behaves
-//!   identically on and off the pool.
+//! - **Big stacks**: workers get 512 MiB stacks (reserved, not committed),
+//!   because pool tasks run recursive code over user terms — elaboration,
+//!   hole filling, interning — whose depth follows the program's nesting.
 //!
 //! Worker count comes from `LIVELIT_THREADS` (default: available
-//! parallelism; `1` preserves the sequential path exactly — one big-stack
-//! worker runs the tasks in index order). Tests pin the count with
+//! parallelism; `1` preserves the sequential path exactly — one worker
+//! runs the tasks in index order). Tests pin the count with
 //! [`set_workers_override`] without touching the process environment.
 //!
 //! The crate is std-only: the build is hermetic and offline.
@@ -41,8 +41,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Stack size for pool workers: matches the evaluator's big stack so deep
-/// recursion behaves identically whether a task runs on or off the pool.
+/// Stack size for pool workers. Evaluation itself runs on the environment
+/// machine's frame arena, but tasks also elaborate, fill holes and intern
+/// terms, all recursive in the nesting depth of the program; a generous
+/// stack keeps deeply nested programs from overflowing a worker.
 pub const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// A captured panic from a pool task: the task's index slot holds this
@@ -208,7 +210,7 @@ impl Pool {
     /// Slot `i` holds `f(i, &items[i])`, or the captured [`TaskPanic`] if
     /// that task panicked. Execution order across slots is unspecified at
     /// worker counts > 1; with 1 worker, tasks run in index order on a
-    /// single big-stack thread — exactly the sequential path.
+    /// single worker thread — exactly the sequential path.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> (Vec<Result<R, TaskPanic>>, PoolStats)
     where
         T: Sync,
@@ -448,7 +450,7 @@ mod tests {
     #[test]
     fn deep_recursion_fits_the_worker_stack() {
         // ~1M frames would overflow a default 8 MiB stack; the pool's
-        // big-stack workers absorb it just like `run_on_big_stack`.
+        // big-stack workers absorb it.
         fn deep(n: u64) -> u64 {
             if n == 0 {
                 0

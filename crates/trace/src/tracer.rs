@@ -7,11 +7,12 @@
 //! process-wide by a lock held for the guard's lifetime, so concurrent
 //! traced sections (e.g. parallel tests) cannot interleave their events.
 //!
-//! The pipeline evaluates on a dedicated big-stack thread
-//! (`hazel_lang::eval::run_on_big_stack`); because the current tracer and
-//! its span stack are process-global rather than thread-local, spans opened
-//! on that thread keep their parent links to spans opened on the caller's
-//! thread.
+//! The current tracer and its span stack are process-global rather than
+//! thread-local: a span opened on any thread while a tracer is installed
+//! nests under the innermost span open anywhere. The pipeline emits events
+//! only from the thread that drives a request (pool workers return their
+//! counts to it) and spawns no helper threads of its own, so nothing in
+//! it depends on that cross-thread nesting.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -71,9 +71,10 @@ fn span_nesting_records_parent_links() {
 
 #[test]
 fn spans_survive_the_big_stack_thread_hop() {
-    // The evaluator runs on a dedicated thread
-    // (hazel_lang::eval::run_on_big_stack); the global tracer must keep
-    // parent links across that hop. Simulate one here with a plain thread.
+    // The tracer is process-global, so a span opened on another thread
+    // nests under the installing thread's open span. The pipeline spawns
+    // no helper threads that emit events, but this is still the tracer's
+    // contract; pin it with a plain thread.
     let sink = RingSink::new(1024);
     let tracer = Tracer::deterministic(sink.clone());
     {

@@ -73,6 +73,35 @@ impl XorShift {
     }
 }
 
+/// Runs `f` on a thread with a `stack_bytes` stack. A stack overflow
+/// aborts the process, so a test that passes proves `f` fits.
+///
+/// # Panics
+///
+/// Panics if the thread cannot be spawned, or propagates a panic from `f`.
+pub fn run_on_stack<T: Send>(stack_bytes: usize, f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(stack_bytes)
+            .spawn_scoped(scope, f)
+            .expect("spawn test thread")
+            .join()
+            .expect("test thread panicked")
+    })
+}
+
+/// Runs `f` on a thread with a 512 MiB stack. The reference tree evaluator
+/// ([`hazel::lang::eval::Evaluator`], and `normalize` built on it) recurses
+/// on the host stack, so oracle runs over deeply recursive programs need
+/// more stack than a test thread has.
+///
+/// # Panics
+///
+/// Panics if the thread cannot be spawned, or propagates a panic from `f`.
+pub fn run_on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    run_on_stack(512 * 1024 * 1024, f)
+}
+
 /// The test livelit context: simple livelits at several types, used to
 /// pepper generated programs with invocations.
 ///

@@ -14,12 +14,12 @@
 //! needs no property-testing framework.
 
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{fill, normalize, run_on_big_stack, Evaluator};
+use hazel::lang::eval::{fill, normalize, Evaluator};
 use hazel::lang::final_form::{is_final, is_indet, is_value};
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::typing::syn;
 use hazel::prelude::*;
-use integration_tests::{test_phi, Gen, GenConfig};
+use integration_tests::{run_on_big_stack, test_phi, Gen, GenConfig};
 
 const FUEL: u64 = 2_000_000;
 const CASES: u64 = 160;

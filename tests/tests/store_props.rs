@@ -1,9 +1,9 @@
 //! The interned pipeline must be bit-identical to the seed tree pipeline.
 //!
 //! The hash-consed `TermStore` re-implements substitution (path-copying
-//! with free-variable skipping and a memo table) and evaluation
-//! (`StoreEvaluator`), and the expansion cache short-circuits premises 2–5
-//! of `ELivelit`. None of that may be observable: over seeded random
+//! with free-variable skipping and a memo table), the environment machine
+//! (`MachineEvaluator`) evaluates over it, and the expansion cache
+//! short-circuits premises 2–5 of `ELivelit`. None of that may be observable: over seeded random
 //! programs, parse → expand → elaborate → evaluate → closure collection →
 //! live splice evaluation must produce results identical to the seed
 //! semantics — including the recorded σ inside hole closures (`IExp`
@@ -12,10 +12,11 @@
 
 use hazel::core::{eval_splice, eval_splice_in_env};
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{Evaluator, StoreEvaluator, DEFAULT_FUEL};
+use hazel::lang::eval::{Evaluator, DEFAULT_FUEL};
+use hazel::lang::machine::MachineEvaluator;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
-use integration_tests::{test_phi, Gen, GenConfig};
+use integration_tests::{run_on_big_stack, test_phi, Gen, GenConfig};
 
 const CASES: u64 = 60;
 
@@ -56,9 +57,9 @@ fn interned_eval_matches_seed_eval_bit_identically() {
 
         let mut store = TermStore::new();
         let t = store.intern_iexp(&d);
-        let mut store_eval = StoreEvaluator::with_fuel(&mut store, DEFAULT_FUEL);
-        let interned = store_eval.eval(t);
-        let steps = store_eval.steps();
+        let mut machine = MachineEvaluator::with_fuel(&mut store, DEFAULT_FUEL);
+        let interned = machine.eval(t);
+        let steps = machine.steps();
         let interned = interned.map(|r| store.to_iexp(r));
 
         assert_eq!(tree, interned, "seed {seed}: results diverge");
@@ -133,7 +134,8 @@ fn invocations(e: &UExp) -> Vec<LivelitAp> {
 #[test]
 fn interned_live_splice_eval_matches_seed_path() {
     // eval_splice (the interned fast path over the collection's shared
-    // term store) against eval_splice_in_env (the seed tree path), for
+    // term store) against eval_splice_in_env (the tree path: σ applied to
+    // the tree, evaluated in a fresh store), for
     // every collected closure of every invocation and every one of its
     // splices — results, indeterminacy classification, absence (`None`),
     // and errors must all agree.
@@ -183,7 +185,7 @@ fn resume_result_matches_full_evaluation_through_the_store() {
     // evaluator internally: fill-and-resume equals expand-then-evaluate.
     // As in the seed metatheorem test, equality holds up to normalization
     // of residual redexes in positions evaluation cannot reach.
-    use hazel::lang::eval::{normalize, run_on_big_stack};
+    use hazel::lang::eval::normalize;
     let phi = test_phi();
     for seed in 0..CASES {
         let (program, _) = gen_full(seed).program(&phi);
