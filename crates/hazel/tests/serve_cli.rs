@@ -228,3 +228,81 @@ fn invalid_livelit_threads_warns_once_and_falls_back() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(!stderr.contains("LIVELIT_THREADS"), "stderr: {stderr}");
 }
+
+/// SIGTERM must drain a socket server that is blocked waiting for
+/// traffic: the signal has to wake the accept loop and every idle
+/// handler, or the process hangs.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_an_idle_socket_server() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let sock = std::env::temp_dir().join(format!("hazel-sigterm-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hazel"))
+        .args(["serve", "--uds"])
+        .arg(&sock)
+        .args(["--workers", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let (lines_tx, lines) = mpsc::channel();
+    let stderr = BufReader::new(child.stderr.take().unwrap());
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            let _ = lines_tx.send(line);
+        }
+    });
+    let listening = lines.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(listening.contains("listening on"), "{listening}");
+
+    // One client, served once, then idle.
+    let client = UnixStream::connect(&sock).unwrap();
+    let mut writer = client.try_clone().unwrap();
+    writer.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+    let mut reader = BufReader::new(client);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
+
+    let status = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let killed = Instant::now();
+
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("EOF after the drain");
+    assert_eq!(rest, "");
+
+    let exit = loop {
+        if let Some(exit) = child.try_wait().unwrap() {
+            break exit;
+        }
+        if killed.elapsed() > Duration::from_secs(2) {
+            let _ = child.kill();
+            panic!("hazel serve still running 2 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(exit.success(), "{exit:?}");
+    // The reader thread ends at the exited child's stderr EOF.
+    let stderr: Vec<String> = lines.iter().collect();
+    assert!(
+        stderr.iter().any(|l| l.contains("drained")),
+        "stderr: {stderr:?}"
+    );
+    let _ = std::fs::remove_file(&sock);
+}

@@ -26,7 +26,7 @@
 //! | `stats` | `session`? | per-session or whole-server counters |
 //! | `metrics` | `slow`? | observability snapshot: histograms, totals, per-session table, gauges |
 //! | `watch` | `every` | push a totals-delta notification every N requests (`0` clears) |
-//! | `shutdown` | | request a graceful drain: the transport stops accepting and exits |
+//! | `shutdown` | | request a graceful drain of the whole server: over sockets, every connection (not just the sender's) finishes its in-flight request, gets a FIN, and the transport stops accepting and returns |
 //! | `close` | `session` | drop the session |
 //!
 //! `open` additionally accepts `"timings":true`, after which every reply

@@ -221,6 +221,12 @@ impl<R: Read> LineReader<R> {
         &self.inner
     }
 
+    /// Mutable access to the underlying stream (for per-connection state
+    /// the stream carries, such as a deadline).
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
     /// Unwraps the reader, handing back the stream (buffered-but-unframed
     /// bytes are dropped — used when the transport stops reading requests
     /// at drain and only needs the raw socket to say goodbye).

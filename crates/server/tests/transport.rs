@@ -1,7 +1,7 @@
 //! End-to-end socket transport tests: real TCP and Unix-domain
 //! connections against a running [`Transport`], covering framing over
-//! the wire, the connection cap, idle timeouts, graceful drain, and
-//! crash-safe resume from session snapshots.
+//! the wire, the connection cap, reconnect latency, idle timeouts,
+//! graceful drain, and crash-safe resume from session snapshots.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -10,7 +10,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use livelit_server::json::{self, Json};
 use livelit_server::transport::{BindTo, DrainSummary, Transport, TransportConfig};
@@ -175,21 +175,25 @@ fn over_cap_connections_get_a_transport_error_then_eof() {
     assert_ok(&read_reply(&mut first_reader));
 
     // Second connection is over the cap: one transport error line, then
-    // EOF.
-    let second = TcpStream::connect(addr).expect("connect");
+    // EOF — a clean FIN even though the client sent a request the server
+    // never reads (closing over unread bytes would be a RST instead).
+    let mut second = TcpStream::connect(addr).expect("connect");
+    send_line(&mut second, "{\"op\":\"stats\"}");
     let mut second_reader = BufReader::new(second);
     let refusal = read_reply(&mut second_reader);
     assert_eq!(error_kind(&refusal), "transport");
     let mut rest = String::new();
-    second_reader.read_to_string(&mut rest).expect("eof");
+    second_reader
+        .read_to_string(&mut rest)
+        .expect("a clean EOF after the refusal, not a reset");
     assert_eq!(rest, "");
 
     // Once the first connection leaves, the slot frees up.
     drop(first_writer);
     drop(first_reader);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     let mut served = false;
-    while std::time::Instant::now() < deadline {
+    while Instant::now() < deadline {
         let third = TcpStream::connect(addr).expect("connect");
         let mut writer = third.try_clone().expect("clone");
         let mut reader = BufReader::new(third);
@@ -207,6 +211,34 @@ fn over_cap_connections_get_a_transport_error_then_eof() {
     handle.request_drain();
     let summary = join.join().expect("transport thread");
     assert!(summary.dropped >= 1, "over-cap refusals count as dropped");
+}
+
+#[test]
+fn reconnects_are_served_without_waiting_for_a_tick() {
+    let (addr, handle, join) = spawn_tcp(std_server(), TransportConfig::default());
+    // Let the accept loop settle into its idle wait first.
+    thread::sleep(Duration::from_millis(150));
+    let mut waits: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            send_line(&mut writer, "{\"op\":\"stats\"}");
+            assert_ok(&read_reply(&mut reader));
+            started.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median connect-to-reply {median:?} (all: {waits:?})"
+    );
+
+    handle.request_drain();
+    let summary = join.join().expect("transport thread");
+    assert_eq!(summary.accepted, 20);
 }
 
 #[test]
