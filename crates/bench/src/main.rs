@@ -417,7 +417,7 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
         };
         let program = parallel_resume_program(n, k);
         for workers in [1usize, 2, 4, 8] {
-            hazel::sched::set_workers_override(Some(workers));
+            let _pool = hazel::sched::scope_workers(workers);
             results.push(summarize(
                 "B12",
                 "parallel_resume/workers",
@@ -427,7 +427,6 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
                 }),
             ));
         }
-        hazel::sched::set_workers_override(None);
     }
 
     // B13 — the splice-result cache under a model-drag render loop: a

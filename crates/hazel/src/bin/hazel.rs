@@ -150,12 +150,11 @@ fn trace(args: &[String]) -> ExitCode {
     // worker the scheduler runs tasks in index order and reports no
     // nondeterministic steal/idle counters.
     let tracer = Tracer::deterministic(sink.clone());
-    livelit_sched::set_workers_override(Some(1));
     let result = {
         let _guard = hazel::trace::install(&tracer);
+        let _pool = livelit_sched::scope_workers(1);
         run_pipeline(&path)
     };
-    livelit_sched::set_workers_override(None);
     if let Err(code) = result {
         return code;
     }
@@ -495,7 +494,12 @@ fn serve(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     if let Some(w) = workers {
-        livelit_sched::set_workers_override(Some(w));
+        // The process default reaches every handler thread. It is
+        // write-once, and nothing has read it yet.
+        assert!(
+            livelit_sched::init_default_workers(w),
+            "pool size read before --workers applied"
+        );
     }
 
     let mut server = hazel::server::Server::with_registry(Arc::new(|| {
@@ -534,11 +538,11 @@ fn serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Phase attribution and slow-trace capture ride on an installed
-    // tracer; only the sequential stdio path gets one (batch and socket
-    // handler threads would interleave their span parentage on the
-    // process-global stack). The guard must outlive the request loop and
-    // drop on this thread.
+    // Phase attribution and slow-trace capture ride on a tracer installed
+    // on this thread, so only the sequential stdio path gets one. Batch
+    // and socket modes run requests on other threads; installing there
+    // would put tracing cost on the measured socket path. The guard must
+    // outlive the request loop.
     let _trace_guard = metrics.as_ref().filter(|_| stdio && !batch).map(|m| {
         let sink = PairSink(MetricsSink::new(Arc::clone(m.hub())), m.capture().clone());
         hazel::trace::install(&Tracer::monotonic(sink))
@@ -649,10 +653,6 @@ fn serve(args: &[String]) -> ExitCode {
         if !slow.is_empty() {
             eprint!("{slow}");
         }
-    }
-
-    if workers.is_some() {
-        livelit_sched::set_workers_override(None);
     }
     ExitCode::SUCCESS
 }

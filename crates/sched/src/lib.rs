@@ -30,14 +30,17 @@
 //!
 //! Worker count comes from `LIVELIT_THREADS` (default: available
 //! parallelism; `1` preserves the sequential path exactly — one worker
-//! runs the tasks in index order). Tests pin the count with
-//! [`set_workers_override`] without touching the process environment.
+//! runs the tasks in index order). A program may fix it once at startup
+//! with [`init_default_workers`]; tests and tools pin it for one thread
+//! with [`scope_workers`] without touching the process environment.
 //!
 //! The crate is std-only: the build is hermetic and offline.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -128,15 +131,20 @@ pub fn gauges() -> GaugeSnapshot {
     }
 }
 
-/// Test override for the worker count; `0` means "not set".
-static WORKERS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The calling thread's pool size from [`scope_workers`]; `0` means
+    /// "not set". [`Pool::map`] copies it into the workers it spawns.
+    static SCOPED_WORKERS: Cell<usize> = const { Cell::new(0) };
+}
 
-/// `LIVELIT_THREADS` parsed once per process.
-static ENV_WORKERS: OnceLock<usize> = OnceLock::new();
+/// The process default: set at startup by [`init_default_workers`], else
+/// `LIVELIT_THREADS` parsed on first use. Written once, never changed.
+static DEFAULT_WORKERS: OnceLock<usize> = OnceLock::new();
 
-/// The configured worker count: the test override if set, else
-/// `LIVELIT_THREADS` if set to a positive integer, else the machine's
-/// available parallelism (falling back to 1).
+/// The configured worker count: the calling thread's [`scope_workers`]
+/// size if set, else the process default — [`init_default_workers`] if
+/// called, else `LIVELIT_THREADS` if set to a positive integer, else the
+/// machine's available parallelism (falling back to 1).
 ///
 /// The accepted `LIVELIT_THREADS` range is the positive integers (`1`
 /// disables parallelism, values above the core count are allowed). A set
@@ -144,11 +152,11 @@ static ENV_WORKERS: OnceLock<usize> = OnceLock::new();
 /// swallowed: the first read warns once on stderr, naming the fallback,
 /// then uses the machine's available parallelism.
 pub fn configured_workers() -> usize {
-    let forced = WORKERS_OVERRIDE.load(Ordering::Relaxed);
-    if forced != 0 {
-        return forced;
+    let scoped = SCOPED_WORKERS.with(Cell::get);
+    if scoped != 0 {
+        return scoped;
     }
-    *ENV_WORKERS.get_or_init(|| {
+    *DEFAULT_WORKERS.get_or_init(|| {
         let default = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -157,7 +165,7 @@ pub fn configured_workers() -> usize {
             Some(raw) => match raw.trim().parse::<usize>() {
                 Ok(n) if n >= 1 => n,
                 _ => {
-                    // Once per process: ENV_WORKERS memoizes this closure.
+                    // Once per process: DEFAULT_WORKERS memoizes this closure.
                     eprintln!(
                         "warning: ignoring LIVELIT_THREADS={raw:?}: \
                          expected an integer >= 1; \
@@ -170,12 +178,38 @@ pub fn configured_workers() -> usize {
     })
 }
 
-/// Forces the worker count for subsequent [`Pool::global`] calls
-/// (`Some(n)`) or restores the environment-derived default (`None`).
-/// For tests: the property suite runs the same programs at pool sizes
-/// 1/2/8 in one process, where an env var would race across test threads.
-pub fn set_workers_override(workers: Option<usize>) {
-    WORKERS_OVERRIDE.store(workers.unwrap_or(0), Ordering::Relaxed);
+/// Fixes the process-default worker count (clamped to at least 1) in
+/// place of `LIVELIT_THREADS`, for every thread — a server's connection
+/// handlers included. Call it at startup: the default is written once, so
+/// this returns `false` and changes nothing if it was already set or read.
+pub fn init_default_workers(workers: usize) -> bool {
+    DEFAULT_WORKERS.set(workers.max(1)).is_ok()
+}
+
+/// Keeps a [`scope_workers`] pool size in force on its thread; on drop,
+/// restores the size that thread had before. Not `Send`.
+#[must_use = "the pool size reverts when the guard drops"]
+pub struct WorkersGuard {
+    previous: usize,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for WorkersGuard {
+    fn drop(&mut self) {
+        SCOPED_WORKERS.with(|scoped| scoped.set(self.previous));
+    }
+}
+
+/// Sets the calling thread's pool size (clamped to at least 1) until the
+/// returned guard drops. Other threads keep theirs; parallel regions
+/// nested inside this thread's pool tasks inherit it. Tests run the same
+/// programs at pool sizes 1/2/8 side by side with it, where an env var or
+/// a process-wide switch would race across test threads.
+pub fn scope_workers(workers: usize) -> WorkersGuard {
+    WorkersGuard {
+        previous: SCOPED_WORKERS.with(|scoped| scoped.replace(workers.max(1))),
+        _not_send: PhantomData,
+    }
 }
 
 /// A work-stealing pool configuration. Creating one is free — workers are
@@ -193,7 +227,7 @@ impl Pool {
         }
     }
 
-    /// The pool configured by [`set_workers_override`] / `LIVELIT_THREADS`.
+    /// The pool of [`configured_workers`] size.
     pub fn global() -> Pool {
         Pool::with_workers(configured_workers())
     }
@@ -243,6 +277,7 @@ impl Pool {
         slots.resize_with(n, || None);
         let mut steals = 0u64;
         let mut busy_ns = 0u64;
+        let scoped = SCOPED_WORKERS.with(Cell::get);
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -253,6 +288,8 @@ impl Pool {
                         .name(format!("livelit-sched-{w}"))
                         .stack_size(WORKER_STACK_BYTES)
                         .spawn_scoped(scope, move || {
+                            // Nested regions see the caller's pool size.
+                            SCOPED_WORKERS.with(|s| s.set(scoped));
                             let mut out: Vec<(usize, Result<R, TaskPanic>)> = Vec::new();
                             let mut local_steals = 0u64;
                             let mut local_busy_ns = 0u64;
@@ -440,11 +477,39 @@ mod tests {
     }
 
     #[test]
-    fn override_takes_precedence_and_clears() {
-        set_workers_override(Some(3));
-        assert_eq!(Pool::global().workers(), 3);
-        set_workers_override(None);
-        assert_eq!(Pool::global().workers(), configured_workers());
+    fn scoped_size_stays_on_its_thread_and_reaches_nested_regions() {
+        let default = configured_workers();
+        {
+            let _pool = scope_workers(default + 3);
+            assert_eq!(Pool::global().workers(), default + 3);
+            // Threads running at the same time keep their own size: each
+            // reads it only once every thread has set its own.
+            let barrier = std::sync::Barrier::new(3);
+            let seen = std::thread::scope(|s| {
+                let sized = |size: Option<usize>| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let _pool = size.map(scope_workers);
+                        barrier.wait();
+                        configured_workers()
+                    })
+                };
+                let threads = [sized(Some(default + 1)), sized(None)];
+                barrier.wait();
+                threads.map(|t| t.join().unwrap())
+            });
+            assert_eq!(seen, [default + 1, default]);
+            // A region nested inside a pool task inherits the caller's
+            // size, at every outer pool size.
+            for outer in [1, 2] {
+                let (inner, _) =
+                    Pool::with_workers(outer).map(&[0u8, 1], |_, _| Pool::global().workers());
+                for size in inner {
+                    assert_eq!(size.unwrap(), default + 3, "outer pool of {outer}");
+                }
+            }
+        }
+        assert_eq!(configured_workers(), default, "the guard restores the size");
     }
 
     #[test]

@@ -1118,9 +1118,9 @@ impl Server {
     /// requests for different sessions overlap in time.
     ///
     /// Session-less and unparseable requests are handled sequentially
-    /// before the fan-out. Intended for headless load (the B14 bench);
-    /// run it without an installed tracer, since worker threads would
-    /// interleave their span parentage on the process-global span stack.
+    /// before the fan-out. Intended for headless load (the B14 bench).
+    /// The fanned-out requests run on pool workers, so a tracer installed
+    /// on the calling thread sees only the sequential ones.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
         use std::sync::Mutex;
 

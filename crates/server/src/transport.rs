@@ -64,8 +64,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use livelit_trace::Counter;
-
 use crate::observe::ServeMetrics;
 use crate::wire::{FrameError, LineReader};
 use crate::{error_reply, ErrorKind, RequestError, Server};
@@ -590,7 +588,6 @@ impl Transport {
         // every handler blocked in `poll` (a signal-triggered drain
         // included), each finishes its in-flight request and leaves.
         shared.drain.request();
-        livelit_trace::count(Counter::ServeDrains, 1);
         drop(listener);
         let stranded = live.wait_empty(Instant::now() + shared.config.drain_wait);
         if stranded == 0 {
@@ -622,7 +619,6 @@ impl Transport {
 /// Hands an accepted connection to a new handler thread, or refuses it
 /// when the cap is reached.
 fn admit(shared: &Arc<Shared>, live: &Arc<Live>, conn: Conn) -> Option<JoinHandle<()>> {
-    livelit_trace::count(Counter::ServeConns, 1);
     shared.accepted.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &shared.metrics {
         m.conn_opened();
@@ -653,7 +649,6 @@ fn admit(shared: &Arc<Shared>, live: &Arc<Live>, conn: Conn) -> Option<JoinHandl
 }
 
 fn note_dropped(shared: &Shared) {
-    livelit_trace::count(Counter::ServeConnsDropped, 1);
     shared.dropped.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &shared.metrics {
         m.conn_dropped();

@@ -198,10 +198,11 @@ fn batch_replies_match_sequential_replies() {
     let mut sequential = std_server();
     let expected: Vec<String> = lines.iter().map(|l| sequential.handle_line(l)).collect();
 
-    livelit_sched::set_workers_override(Some(2));
     let mut batched = std_server();
-    let got = batched.handle_batch(&lines);
-    livelit_sched::set_workers_override(None);
+    let got = {
+        let _pool = livelit_sched::scope_workers(2);
+        batched.handle_batch(&lines)
+    };
 
     assert_eq!(got, expected);
     assert_eq!(batched.session_count(), 2);

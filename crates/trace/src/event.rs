@@ -111,13 +111,6 @@ pub enum Counter {
     /// Environment extensions that shared an existing (non-empty) parent
     /// chain — persistent environment reuse instead of substitution.
     MachineEnvReuse,
-    /// Socket connections accepted by the serve transport.
-    ServeConns,
-    /// Connections the transport closed early: over the connection cap,
-    /// idle past the timeout, or stalled on write backpressure.
-    ServeConnsDropped,
-    /// Graceful drains begun (SIGTERM or a `shutdown` op).
-    ServeDrains,
     /// Request records appended to session snapshot journals.
     SnapshotRecords,
     /// Bytes appended to session snapshot journals (headers + records).
@@ -128,7 +121,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 41] = [
         Counter::HolesRemaining,
         Counter::ExpansionsPerformed,
         Counter::SplicesEvaluated,
@@ -167,9 +160,6 @@ impl Counter {
         Counter::MachineSteps,
         Counter::MachineAllocs,
         Counter::MachineEnvReuse,
-        Counter::ServeConns,
-        Counter::ServeConnsDropped,
-        Counter::ServeDrains,
         Counter::SnapshotRecords,
         Counter::SnapshotBytes,
         Counter::SnapshotsRestored,
@@ -222,9 +212,6 @@ impl Counter {
             Counter::MachineSteps => "machine_steps",
             Counter::MachineAllocs => "machine_allocs",
             Counter::MachineEnvReuse => "machine_env_reuse",
-            Counter::ServeConns => "serve_conns",
-            Counter::ServeConnsDropped => "serve_conns_dropped",
-            Counter::ServeDrains => "serve_drains",
             Counter::SnapshotRecords => "snapshot_records",
             Counter::SnapshotBytes => "snapshot_bytes",
             Counter::SnapshotsRestored => "snapshots_restored",

@@ -22,10 +22,16 @@
 //!
 //! # Overhead contract
 //!
-//! Probes are free functions guarded by one relaxed atomic load. With no
-//! tracer installed they do no allocation, take no lock, and record
-//! nothing — the property the benchmark harness's overhead experiment
-//! demonstrates (< 2% on a full pipeline workload).
+//! Probes are free functions guarded by one thread-local flag load. With
+//! no tracer installed on the calling thread they do no allocation, take
+//! no lock, and record nothing — the property the benchmark harness's
+//! overhead experiment demonstrates (< 2% on a full pipeline workload).
+//!
+//! # Thread scope
+//!
+//! [`install`] covers the calling thread only, until its guard drops:
+//! work on other threads never reaches that tracer, so concurrent traced
+//! runs (parallel tests, concurrent requests) each see their own events.
 //!
 //! # Example
 //!

@@ -1,21 +1,20 @@
-//! The tracer: span lifecycle, parent links, and the process-global
+//! The tracer: span lifecycle, parent links, and the thread-scoped
 //! installation the instrumentation probes report to.
 //!
 //! Instrumented code calls the free functions [`crate::span`] and
-//! [`crate::count`]; they are no-ops (a single relaxed atomic load) until a
-//! [`Tracer`] is installed with [`install`]. Installation is serialized
-//! process-wide by a lock held for the guard's lifetime, so concurrent
-//! traced sections (e.g. parallel tests) cannot interleave their events.
+//! [`crate::count`]; they are no-ops (a single thread-local load) until a
+//! [`Tracer`] is installed on the calling thread with [`install`].
 //!
-//! The current tracer and its span stack are process-global rather than
-//! thread-local: a span opened on any thread while a tracer is installed
-//! nests under the innermost span open anywhere. The pipeline emits events
-//! only from the thread that drives a request (pool workers return their
-//! counts to it) and spawns no helper threads of its own, so nothing in
-//! it depends on that cross-thread nesting.
+//! An install covers only the thread that made it: events from any other
+//! thread go to that thread's own tracer, or nowhere. A traced run
+//! therefore records exactly its own work, whatever else the process is
+//! doing at the same time (parallel tests, concurrent requests). The
+//! pipeline emits events only from the thread that drives a request; pool
+//! workers return their counts to it instead of recording them.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::clock::{Clock, MonotonicClock, TestClock};
@@ -124,91 +123,60 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Fast flag the probes check before touching any lock.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// The installed tracer, when [`ENABLED`] is set.
-static CURRENT: Mutex<Option<Tracer>> = Mutex::new(None);
-/// Bumped on every install/uninstall; lets per-thread tracer caches
-/// detect staleness with one relaxed load instead of locking [`CURRENT`].
-static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Serializes installations process-wide (held by the [`InstallGuard`]).
-static INSTALL: Mutex<()> = Mutex::new(());
-
 thread_local! {
-    /// This thread's last-seen `(generation, tracer)` — a cache of
-    /// [`CURRENT`] so the per-event hot path (every span begin and every
-    /// counter bump while tracing is on) costs an atomic generation check
-    /// and an `Arc` clone rather than a contended global mutex.
-    static CACHED: std::cell::RefCell<(u64, Option<Tracer>)> =
-        const { std::cell::RefCell::new((0, None)) };
+    /// Whether a tracer is installed on this thread. Kept apart from
+    /// [`CURRENT`] so the off path reads one `const`-initialised flag and
+    /// never registers a thread-local destructor.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// This thread's installed tracer, when [`ENABLED`] is set.
+    static CURRENT: RefCell<Option<Tracer>> = const { RefCell::new(None) };
 }
 
-/// Whether a tracer is currently installed. Probes compile to this single
-/// relaxed load when tracing is off.
+/// Whether a tracer is installed on the calling thread. Probes compile to
+/// this single thread-local load when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Keeps a tracer installed; uninstalls on drop.
+/// Keeps a tracer installed on the thread that called [`install`]; on
+/// drop, restores whatever that thread had installed before. Not `Send`:
+/// it must drop on the thread it was made on.
 #[must_use = "the tracer is uninstalled when the guard drops"]
 pub struct InstallGuard {
-    _serial: MutexGuard<'static, ()>,
+    previous: Option<Tracer>,
+    was_enabled: bool,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        *CURRENT.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        GENERATION.fetch_add(1, Ordering::Release);
+        CURRENT.with(|current| *current.borrow_mut() = self.previous.take());
+        ENABLED.with(|enabled| enabled.set(self.was_enabled));
     }
 }
 
-/// Installs `tracer` as the process-global trace destination until the
-/// returned guard drops. Concurrent installs from other threads block
-/// until then; do not nest installs on one thread (it would deadlock).
+/// Installs `tracer` as the calling thread's trace destination until the
+/// returned guard drops. Events from other threads never reach it. Installs
+/// nest: an inner install shadows the outer one until its guard drops.
 ///
 /// A tracer whose sink [`Sink::is_noop`] (e.g. [`crate::NullSink`]) is
 /// installed without enabling the probes: recording events nobody will see
 /// would be pure overhead, so the off-state fast path is kept instead.
 pub fn install(tracer: &Tracer) -> InstallGuard {
-    let serial = INSTALL.lock().unwrap_or_else(PoisonError::into_inner);
     let noop = tracer.lock().sink.is_noop();
-    *CURRENT.lock().unwrap_or_else(PoisonError::into_inner) = Some(tracer.clone());
-    GENERATION.fetch_add(1, Ordering::Release);
-    ENABLED.store(!noop, Ordering::SeqCst);
-    InstallGuard { _serial: serial }
+    let previous = CURRENT.with(|current| current.borrow_mut().replace(tracer.clone()));
+    let was_enabled = ENABLED.with(|enabled| enabled.replace(!noop));
+    InstallGuard {
+        previous,
+        was_enabled,
+        _not_send: PhantomData,
+    }
 }
 
-/// The installed tracer, via this thread's generation-checked cache: the
-/// common case (tracer unchanged since this thread last looked) is one
-/// relaxed load and an `Arc` clone; only a generation mismatch pays the
-/// [`CURRENT`] lock.
-fn current() -> Option<Tracer> {
-    // Not `Option::cloned` point-free: the higher-ranked lifetime in
-    // `with_current`'s callback rejects the bare method reference.
-    #[allow(clippy::redundant_closure_for_method_calls)]
-    with_current(|tracer| tracer.cloned())
-}
-
-/// Runs `f` on the installed tracer (or `None`) borrowed from this
-/// thread's cache — the hot-path variant of [`current`] that skips the
-/// `Arc` refcount round-trip when the caller doesn't need ownership.
-fn with_current<R>(f: impl FnOnce(Option<&Tracer>) -> R) -> R {
-    let generation = GENERATION.load(Ordering::Acquire);
-    CACHED.with(|cached| {
-        let mut cached = cached.borrow_mut();
-        if cached.0 != generation {
-            *cached = (
-                generation,
-                CURRENT
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            );
-        }
-        f(cached.1.as_ref())
-    })
+/// Runs `f` on the calling thread's installed tracer, if any.
+fn with_current<R>(f: impl FnOnce(&Tracer) -> R) -> Option<R> {
+    CURRENT.with(|current| current.borrow().as_ref().map(f))
 }
 
 /// Closes its span when dropped. The disabled form is a no-op shell.
@@ -231,7 +199,7 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span named `name` on the installed tracer, if any. When tracing
-/// is off this is one atomic load and returns an inert guard.
+/// is off this is one thread-local load and returns an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
@@ -251,27 +219,17 @@ pub fn span_prefixed(prefix: &'static str, rest: &str) -> SpanGuard {
 }
 
 fn span_cow(name: Cow<'static, str>) -> SpanGuard {
-    match current() {
-        Some(tracer) => {
-            let id = tracer.begin(name);
-            SpanGuard(Some((tracer, id)))
-        }
-        None => SpanGuard(None),
-    }
+    SpanGuard(with_current(|tracer| (tracer.clone(), tracer.begin(name))))
 }
 
 /// Adds `delta` to `counter` on the installed tracer, if any. When tracing
-/// is off this is one atomic load.
+/// is off this is one thread-local load.
 #[inline]
 pub fn count(counter: Counter, delta: u64) {
     if !enabled() {
         return;
     }
-    with_current(|tracer| {
-        if let Some(tracer) = tracer {
-            tracer.count(counter, delta);
-        }
-    });
+    with_current(|tracer| tracer.count(counter, delta));
 }
 
 #[cfg(test)]

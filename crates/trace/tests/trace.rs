@@ -1,6 +1,7 @@
 //! Integration tests for the tracing layer: span nesting and parent
 //! links, counter aggregation, JSONL byte-determinism, and install-guard
-//! semantics.
+//! semantics — an install covers its own thread only, and nested installs
+//! restore the outer tracer.
 
 use livelit_trace::sink::{JsonlSink, RingSink, StatsSink};
 use livelit_trace::{count, install, span, span_prefixed, Counter, Event, Tracer};
@@ -70,11 +71,7 @@ fn span_nesting_records_parent_links() {
 }
 
 #[test]
-fn spans_survive_the_big_stack_thread_hop() {
-    // The tracer is process-global, so a span opened on another thread
-    // nests under the installing thread's open span. The pipeline spawns
-    // no helper threads that emit events, but this is still the tracer's
-    // contract; pin it with a plain thread.
+fn events_from_other_threads_never_reach_the_installed_tracer() {
     let sink = RingSink::new(1024);
     let tracer = Tracer::deterministic(sink.clone());
     {
@@ -83,28 +80,46 @@ fn spans_survive_the_big_stack_thread_hop() {
         std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _inner = span("inner");
+                    assert!(!livelit_trace::enabled());
+                    let _stray = span("stray");
+                    count(Counter::ClosuresCollected, 12);
                 })
                 .join()
                 .unwrap();
         });
+        count(Counter::ClosuresCollected, 1);
     }
-    let events = sink.events();
-    let outer_id = events
+    let names: Vec<String> = sink
+        .events()
         .iter()
-        .find_map(|e| match e {
-            Event::Begin { id, name, .. } if name == "outer" => Some(*id),
-            _ => None,
+        .map(|e| match e {
+            Event::Begin { name, .. } | Event::End { name, .. } => name.to_string(),
+            Event::Count { counter, delta, .. } => format!("{counter}+{delta}"),
         })
-        .unwrap();
-    let inner_parent = events
-        .iter()
-        .find_map(|e| match e {
-            Event::Begin { parent, name, .. } if name == "inner" => Some(*parent),
-            _ => None,
-        })
-        .unwrap();
-    assert_eq!(inner_parent, Some(outer_id));
+        .collect();
+    assert_eq!(names, ["outer", "closures_collected+1", "outer"]);
+}
+
+#[test]
+fn a_nested_install_restores_the_outer_tracer_on_drop() {
+    let outer_sink = StatsSink::new();
+    let inner_sink = StatsSink::new();
+    let outer = Tracer::deterministic(outer_sink.clone());
+    let inner = Tracer::deterministic(inner_sink.clone());
+    {
+        let _outer = install(&outer);
+        count(Counter::EvalSteps, 1);
+        {
+            let _inner = install(&inner);
+            count(Counter::EvalSteps, 10);
+        }
+        assert!(livelit_trace::enabled());
+        count(Counter::EvalSteps, 100);
+    }
+    assert!(!livelit_trace::enabled());
+    count(Counter::EvalSteps, 1000);
+    assert_eq!(outer_sink.snapshot().counter(Counter::EvalSteps), 101);
+    assert_eq!(inner_sink.snapshot().counter(Counter::EvalSteps), 10);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use hazel::editor::{analyze_document, open_module, IncrementalAnalyzer};
 use hazel::lang::parse::parse_uexp;
 use hazel::lang::value::iv;
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
+use hazel::sched::scope_workers;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
 use integration_tests::XorShift;
 
@@ -110,10 +110,10 @@ fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
 fn incremental_diagnostics_are_bit_identical_at_pool_sizes_1_2_8() {
     let mut flow_findings = 0usize;
     for seed in 0..SCRIPTS {
-        set_workers_override(Some(1));
+        let _pool = scope_workers(1);
         let (sequential, seq_stats) = run_script(seed);
         for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
+            let _pool = scope_workers(workers);
             let (parallel, par_stats) = run_script(seed);
             assert_eq!(
                 sequential, parallel,
@@ -125,7 +125,6 @@ fn incremental_diagnostics_are_bit_identical_at_pool_sizes_1_2_8() {
                 "seed {seed}: counter totals diverge at {workers} workers"
             );
         }
-        set_workers_override(None);
         for code in ["LL0501", "LL0502", "LL0503"] {
             if sequential.contains(code) {
                 flow_findings += 1;

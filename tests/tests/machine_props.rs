@@ -26,18 +26,11 @@ use hazel::lang::parse::parse_uexp;
 use hazel::lang::typing::syn;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
-use hazel::trace::{Counter, InstallGuard, NullSink, Stats, StatsSink, Tracer};
+use hazel::sched::scope_workers;
+use hazel::trace::{Counter, Stats, StatsSink, Tracer};
 use integration_tests::{run_on_big_stack, run_on_stack, test_phi, Gen, GenConfig, XorShift};
 
 const CASES: u64 = 40;
-
-/// Installs a tracer that drops every event. Installation is serialized
-/// process-wide, so a test that emits trace events but checks none holds
-/// this to keep its events out of concurrently traced tests.
-fn quiet() -> InstallGuard {
-    hazel::trace::install(&Tracer::deterministic(NullSink))
-}
 
 fn gen_full(seed: u64) -> Gen {
     // Same population as the store property suite: holes exercise σ
@@ -82,7 +75,6 @@ fn run_both(d: &IExp, fuel: u64) -> (Run, Run) {
 
 #[test]
 fn machine_matches_tree_on_random_programs() {
-    let _quiet = quiet();
     let phi = test_phi();
     let mut compared = 0u32;
     for seed in 0..CASES {
@@ -359,12 +351,9 @@ fn pipeline_matches_the_tree_oracle_at_pool_sizes_1_2_8() {
         let (program, _) = gen_full(seed).program(&phi);
         // The recursive oracle runs on a big stack; the pipeline does not
         // need one.
-        let (oracle, oracle_steps) = {
-            let _quiet = quiet();
-            run_on_big_stack(|| oracle_case(&program))
-        };
+        let (oracle, oracle_steps) = run_on_big_stack(|| oracle_case(&program));
 
-        set_workers_override(Some(1));
+        let _pool = scope_workers(1);
         let (seq, seq_stats) = run_case(&program);
         assert_eq!(
             seq, oracle,
@@ -376,7 +365,7 @@ fn pipeline_matches_the_tree_oracle_at_pool_sizes_1_2_8() {
             "seed {seed}: EvalSteps diverge from the tree oracle"
         );
         for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
+            let _pool = scope_workers(workers);
             let (parallel, par_stats) = run_case(&program);
             assert_eq!(
                 seq, parallel,
@@ -390,7 +379,6 @@ fn pipeline_matches_the_tree_oracle_at_pool_sizes_1_2_8() {
         }
         compared += 1;
     }
-    set_workers_override(None);
     assert!(compared > 0);
 }
 
@@ -420,10 +408,7 @@ fn repeated_splice_evaluations_miss_the_splice_cache_once() {
             hole: HoleName(0),
         }))),
     );
-    let collection = {
-        let _quiet = quiet();
-        collect(&phi, &program).expect("fixed program collects")
-    };
+    let collection = collect(&phi, &program).expect("fixed program collects");
     let hole = HoleName(0);
     assert!(
         !collection.envs_for(hole).is_empty(),
@@ -501,7 +486,6 @@ fn deep_expansion_and_plot_sampling_run_on_a_small_stack() {
     // evaluations outside the traced pipeline. Both run on the machine's
     // frame arena, so a 10k-deep recursion needs no host stack to speak
     // of; the recursive tree evaluator needs tens of MiB for it.
-    let _quiet = quiet();
     let expand_src = format!(
         "fun m : Unit -> {}",
         deep_recursion("Str", "\"7\"", "\"\" ^")

@@ -15,7 +15,7 @@
 
 use hazel::core::eval_splice;
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
+use hazel::sched::scope_workers;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
 use integration_tests::{test_phi, Gen, GenConfig};
 
@@ -101,10 +101,10 @@ fn pipeline_is_bit_identical_at_pool_sizes_1_2_8() {
     let mut compared = 0u32;
     for seed in 0..CASES {
         let (program, _) = gen_full(seed).program(&phi);
-        set_workers_override(Some(1));
+        let _pool = scope_workers(1);
         let (sequential, seq_stats) = run_case(&program);
         for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
+            let _pool = scope_workers(workers);
             let (parallel, par_stats) = run_case(&program);
             assert_eq!(
                 sequential, parallel,
@@ -117,7 +117,6 @@ fn pipeline_is_bit_identical_at_pool_sizes_1_2_8() {
             );
             compared += 1;
         }
-        set_workers_override(None);
     }
     assert!(compared >= 60, "property vacuous: {compared} runs compared");
 }

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hazel::sched::set_workers_override;
+use hazel::sched::scope_workers;
 use hazel::server::{ErrorKind, Server};
 use integration_tests::XorShift;
 
@@ -67,7 +67,7 @@ fn gen_line(g: &mut XorShift) -> String {
 #[test]
 fn restore_then_replay_is_byte_identical_to_an_uninterrupted_run() {
     for workers in [1usize, 2, 8] {
-        set_workers_override(Some(workers));
+        let _pool = scope_workers(workers);
         for seed in 0..8u64 {
             let dir = temp_dir(&format!("replay-w{workers}-{seed}"));
             let mut g = XorShift::new(seed);
@@ -107,7 +107,6 @@ fn restore_then_replay_is_byte_identical_to_an_uninterrupted_run() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    set_workers_override(None);
 }
 
 #[test]

@@ -22,7 +22,7 @@ use hazel::lang::parse::parse_uexp;
 use hazel::lang::value::iv;
 use hazel::mvu::{diff, try_apply, Html, NodeKind, ViewArena, ViewId};
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
+use hazel::sched::scope_workers;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
 use integration_tests::XorShift;
 
@@ -181,10 +181,10 @@ fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
 fn retained_views_are_bit_identical_to_legacy_at_pool_sizes_1_2_8() {
     let mut patched_total = 0usize;
     for seed in 0..SCRIPTS {
-        set_workers_override(Some(1));
+        let _pool = scope_workers(1);
         let (sequential, seq_stats, seq_patched) = run_script(seed);
         for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
+            let _pool = scope_workers(workers);
             let (parallel, par_stats, par_patched) = run_script(seed);
             assert_eq!(
                 sequential, parallel,
@@ -200,7 +200,6 @@ fn retained_views_are_bit_identical_to_legacy_at_pool_sizes_1_2_8() {
                 "seed {seed}: patch transitions diverge at {workers} workers"
             );
         }
-        set_workers_override(None);
         patched_total += seq_patched;
         // The property is about *retention*: the pipeline must actually
         // have kept nodes in place (memo hits or in-place reconciles), or
